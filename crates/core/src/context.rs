@@ -14,10 +14,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sdp_cost::{CostModel, InnerIndex, JoinInput, ScanKind};
+use sdp_cost::{CostModel, JoinInput, JoinKernel, ScanKind};
 use sdp_query::{ClassId, EquivClasses, JoinGraph, Query, RelSet};
 
 use crate::budget::{Budget, BudgetProbe, MemoryModel, OptError};
+use crate::crossing::{Crossing, EdgeTable};
 use crate::enumerate::EnumeratorKind;
 use crate::fx::FxHashMap;
 use crate::memo::{Group, Memo};
@@ -152,6 +153,9 @@ pub struct EnumContext<'a> {
     query: &'a Query,
     model: &'a CostModel<'a>,
     classes: EquivClasses,
+    /// The nodes each order class has a member column on.
+    class_nodes: Vec<RelSet>,
+    edges: EdgeTable,
     order_target: Option<ClassId>,
     nodes: NodeCounter,
     parallelism: usize,
@@ -198,6 +202,11 @@ impl<'a> EnumContext<'a> {
         EnumContext {
             query,
             model,
+            edges: EdgeTable::new(model, &query.graph, &classes),
+            class_nodes: classes
+                .iter()
+                .map(|(_, members)| members.iter().map(|m| m.node).collect())
+                .collect(),
             classes,
             order_target,
             memory: MemoryModel::new(budget, nodes.clone()),
@@ -237,6 +246,12 @@ impl<'a> EnumContext<'a> {
     /// Join-column equivalence classes (computed after rewriting).
     pub fn classes(&self) -> &EquivClasses {
         &self.classes
+    }
+
+    /// Summary of the edges crossing between disjoint sets `a` and `b`,
+    /// from the per-edge terms tabulated when the run started.
+    pub(crate) fn crossing(&self, a: RelSet, b: RelSet) -> Crossing {
+        self.edges.crossing(a, b)
     }
 
     /// Order class the user's `ORDER BY` (or, failing that, `GROUP
@@ -329,13 +344,7 @@ impl<'a> EnumContext<'a> {
     /// instead of growing with the join size.
     pub fn useful_ordering(&self, ordering: Option<ClassId>, set: RelSet) -> Option<ClassId> {
         let c = ordering?;
-        if self.order_target == Some(c) {
-            return Some(c);
-        }
-        self.classes
-            .members(c)
-            .iter()
-            .any(|m| !set.contains(m.node))
+        (self.order_target == Some(c) || !(self.class_nodes[c as usize] - set).is_empty())
             .then_some(c)
     }
 
@@ -435,12 +444,7 @@ impl<'a> EnumContext<'a> {
         };
         // The executor sorts by a column it can see: the order class
         // needs a member column on a relation inside the set.
-        if !self
-            .classes
-            .members(target)
-            .iter()
-            .any(|m| set.contains(m.node))
-        {
+        if !self.class_nodes[target as usize].intersects(set) {
             return false;
         }
         let candidate = {
@@ -541,134 +545,65 @@ impl<'a> EnumContext<'a> {
     /// The costing core shared by the sequential and parallel paths:
     /// cost every join alternative for `a ⋈ b` and offer the survivors
     /// to `group` (which covers `a ∪ b` but is *not* in the memo).
+    ///
+    /// Candidates are offered as they are produced, so the dominance
+    /// early-skip sees every plan retained so far, in the kernel's
+    /// offer order (dominance ties depend on it). Index nested loop is
+    /// costed against the first inner entry only: it does not read
+    /// the inner plan.
     fn join_pair_into(&self, a: RelSet, b: RelSet, group: &mut Group, plans_costed: &mut u64) {
         debug_assert!(a.is_disjoint(b));
-        let graph = self.graph();
-        let est = self.model.estimator();
-        let crossing_sel = est.crossing_selectivity(graph, a, b);
-
-        // Distinct order classes of the crossing edges (drive merge
-        // join alternatives).
-        let mut crossing_classes: Vec<ClassId> = graph
-            .crossing_edges(a, b)
-            .filter_map(|e| self.classes.class_of(e.left))
-            .collect();
-        crossing_classes.sort_unstable();
-        crossing_classes.dedup();
-
-        for (outer_set, inner_set) in [(a, b), (b, a)] {
-            self.cost_orientation(
-                outer_set,
-                inner_set,
-                group,
-                crossing_sel,
-                group.rows,
-                &crossing_classes,
-                plans_costed,
-            );
-        }
-    }
-
-    /// Cost all methods for a fixed (outer, inner) orientation,
-    /// offering candidates to `group` as they are produced (so the
-    /// dominance early-skip sees every plan retained so far).
-    #[allow(clippy::too_many_arguments)]
-    fn cost_orientation(
-        &self,
-        outer_set: RelSet,
-        inner_set: RelSet,
-        group: &mut Group,
-        crossing_sel: f64,
-        out_rows: f64,
-        crossing_classes: &[ClassId],
-        plans_costed: &mut u64,
-    ) {
-        let graph = self.graph();
-        let union = group.set;
-
-        // Index nested-loop applicability: inner is a single base
-        // relation whose indexed column is one of the crossing join
-        // columns.
-        let inner_index: Option<InnerIndex> = inner_set.min_index().and_then(|node| {
-            if inner_set.len() != 1 {
-                return None;
-            }
-            let rel = graph.relation(node);
-            let relation = self.model.catalog().relation(rel).expect("valid binding");
-            let usable = graph.crossing_edges(outer_set, inner_set).any(|e| {
-                let inner_ref = if e.left.node == node { e.left } else { e.right };
-                inner_ref.node == node && relation.has_index_on(inner_ref.col)
-            });
-            if !usable {
-                return None;
-            }
-            let stats = self.model.catalog().stats(rel).expect("valid binding");
-            Some(InnerIndex {
-                tuples: stats.relation.tuples,
-                pages: stats.relation.pages,
-            })
-        });
-
-        let outer_group = self.memo.get(outer_set).expect("outer group exists");
-        let inner_group = self.memo.get(inner_set).expect("inner group exists");
-        let (outer_rows, outer_width) = (outer_group.rows, outer_group.width);
-        let (inner_rows, inner_width) = (inner_group.rows, inner_group.width);
-
-        for outer in outer_group.entries() {
-            let outer_input = JoinInput {
-                rows: outer_rows,
-                cost: outer.cost,
-                width: outer_width,
-                ordering: outer.ordering,
+        let crossing = self.edges.crossing(a, b);
+        let input = |set| {
+            let g = self.memo.get(set).expect("input group exists");
+            let side = JoinInput {
+                rows: g.rows,
+                cost: 0.0,
+                width: g.width,
+                ordering: None,
             };
-            for (ii, inner) in inner_group.entries().iter().enumerate() {
-                let inner_input = JoinInput {
-                    rows: inner_rows,
-                    cost: inner.cost,
-                    width: inner_width,
-                    ordering: inner.ordering,
+            (g, side)
+        };
+        for (outer_set, inner_set, inner_index) in
+            [(a, b, crossing.index_into_b), (b, a, crossing.index_into_a)]
+        {
+            let ((outer_group, outer_side), (inner_group, inner_side)) =
+                (input(outer_set), input(inner_set));
+            let kernel = JoinKernel::new(
+                &outer_side,
+                &inner_side,
+                crossing.selectivity,
+                group.rows,
+                inner_index,
+                self.model.params(),
+            );
+            for outer in outer_group.entries() {
+                let o = JoinInput {
+                    cost: outer.cost,
+                    ordering: outer.ordering,
+                    ..outer_side
                 };
-                // Index NLJ does not depend on the inner plan choice:
-                // cost it once, against the first inner entry.
-                let idx = if ii == 0 { inner_index } else { None };
-                // Merge join alternatives, one per crossing class; the
-                // cost crate takes one class per call, so iterate.
-                let mut classes_iter: Vec<Option<ClassId>> =
-                    crossing_classes.iter().copied().map(Some).collect();
-                if classes_iter.is_empty() {
-                    classes_iter.push(None);
-                }
-                for (ci, class) in classes_iter.iter().enumerate() {
-                    // Hash/NL candidates are identical across classes;
-                    // only cost them on the first class iteration.
-                    let cands = self.model.join_candidates(
-                        &outer_input,
-                        &inner_input,
-                        crossing_sel,
-                        out_rows,
-                        *class,
-                        if ci == 0 { idx } else { None },
-                    );
-                    for c in cands {
-                        let is_merge = c.method == sdp_cost::JoinMethod::Merge;
-                        if ci > 0 && !is_merge {
-                            continue; // already costed under ci == 0
-                        }
+                for (ii, inner) in inner_group.entries().iter().enumerate() {
+                    let i = JoinInput {
+                        cost: inner.cost,
+                        ordering: inner.ordering,
+                        ..inner_side
+                    };
+                    kernel.offer(&o, &i, ii == 0, crossing.classes(), |c| {
                         *plans_costed += 1;
-                        let ordering = self.useful_ordering(c.ordering, union);
-                        if !group.would_retain(c.cost, ordering) {
-                            continue;
+                        let ordering = self.useful_ordering(c.ordering, group.set);
+                        if group.would_retain(c.cost, ordering) {
+                            group.add_plan(PlanNode::new(
+                                &self.nodes,
+                                PlanOp::Join { method: c.method },
+                                group.set,
+                                group.rows,
+                                c.cost,
+                                ordering,
+                                vec![outer.clone(), inner.clone()],
+                            ));
                         }
-                        group.add_plan(PlanNode::new(
-                            &self.nodes,
-                            PlanOp::Join { method: c.method },
-                            union,
-                            out_rows,
-                            c.cost,
-                            ordering,
-                            vec![outer.clone(), inner.clone()],
-                        ));
-                    }
+                    });
                 }
             }
         }

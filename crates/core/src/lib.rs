@@ -32,6 +32,7 @@
 
 pub mod budget;
 pub mod context;
+pub mod crossing;
 pub mod dp;
 pub mod enumerate;
 pub mod explain;
@@ -83,6 +84,7 @@ fn _assert_service_types_are_send_sync() {
     check::<sdp_trace::Tracer>();
 }
 pub use context::{default_parallelism, EnumContext, LevelStats, RunStats};
+pub use crossing::{Crossing, EdgeTable};
 pub use dp::{LevelPruner, PruneStats};
 pub use enumerate::{DpConv, Dpccp, EnumeratorKind, LevelScan, PairEnumerator};
 pub use explain::{explain, explain_analyze, worst_estimates};

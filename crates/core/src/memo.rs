@@ -15,6 +15,7 @@
 use std::sync::Arc;
 
 use sdp_query::{ClassId, RelSet};
+use sdp_skyline::total_order;
 
 use crate::fx::FxHashMap;
 use crate::plan::PlanNode;
@@ -79,7 +80,9 @@ impl Group {
             .any(|e| e.cost <= cost && (ordering.is_none() || e.ordering == ordering))
     }
 
-    /// The cheapest plan in the group.
+    /// The cheapest plan in the group. Costs compare by
+    /// [`sdp_skyline::total_order`], so a NaN cost orders after every
+    /// number instead of panicking.
     ///
     /// # Panics
     /// Panics if the group is empty (groups are always populated
@@ -87,7 +90,7 @@ impl Group {
     pub fn best(&self) -> &Arc<PlanNode> {
         self.entries
             .iter()
-            .min_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"))
+            .min_by(|a, b| total_order(a.cost, b.cost))
             .expect("group has at least one plan")
     }
 
@@ -101,7 +104,7 @@ impl Group {
         self.entries
             .iter()
             .filter(|e| e.ordering == Some(class))
-            .min_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"))
+            .min_by(|a, b| total_order(a.cost, b.cost))
     }
 
     /// All retained plans.
@@ -251,6 +254,23 @@ mod tests {
         g.add_plan(plan(g.set, 10.0, Some(1)));
         g.add_plan(plan(g.set, 10.0, Some(2)));
         assert_eq!(g.entries().len(), 2);
+    }
+
+    #[test]
+    fn nan_cost_orders_after_every_finite_cost() {
+        let mut g = group();
+        assert!(g.add_plan(plan(g.set, 10.0, Some(2))));
+        // Both signs: `inf - inf` is a negative NaN on x86-64.
+        let inf = std::hint::black_box(f64::INFINITY);
+        for cost in [f64::NAN, inf - inf] {
+            let mut nan = plan(g.set, 1.0, Some(2));
+            Arc::get_mut(&mut nan).unwrap().cost = cost;
+            // Incomparable: a NaN cost neither dominates nor is dominated.
+            assert!(g.add_plan(nan));
+        }
+        assert_eq!(g.entries().len(), 3);
+        assert_eq!(g.best_cost(), 10.0);
+        assert_eq!(g.best_for_order(2).unwrap().cost, 10.0);
     }
 
     #[test]

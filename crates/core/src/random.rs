@@ -22,11 +22,12 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use sdp_cost::{InnerIndex, JoinInput};
+use sdp_cost::{join_candidates, JoinInput};
 use sdp_query::{ClassId, RelSet};
 
 use crate::budget::OptError;
 use crate::context::EnumContext;
+use crate::memo::Group;
 use crate::plan::PlanNode;
 use std::sync::Arc;
 
@@ -71,12 +72,14 @@ impl OrderCoster<'_, '_> {
         let first = order[0];
         self.ctx
             .ensure_base_group(RelSet::single(first).min_index().unwrap());
-        let g0 = self.ctx.memo.get(RelSet::single(first)).expect("base");
         let mut set = RelSet::single(first);
-        let mut cost = g0.best().cost;
-        let mut rows = g0.rows;
-        let mut width = g0.width;
-        let mut ordering: Option<ClassId> = g0.best().ordering;
+        let input = |g: &Group| JoinInput {
+            rows: g.rows,
+            cost: g.best().cost,
+            width: g.width,
+            ordering: g.best().ordering,
+        };
+        let mut outer = input(self.ctx.memo.get(set).expect("base"));
 
         for &next in &order[1..] {
             let nset = RelSet::single(next);
@@ -84,70 +87,41 @@ impl OrderCoster<'_, '_> {
                 return None;
             }
             self.ctx.ensure_base_group(next);
-            let (n_rows, n_width, n_cost, n_ordering) = {
-                let g = self.ctx.memo.get(nset).expect("base");
-                (g.rows, g.width, g.best().cost, g.best().ordering)
-            };
-            let crossing = est.crossing_selectivity(graph, set, nset);
+            let inner = input(self.ctx.memo.get(nset).expect("base"));
+            let crossing = self.ctx.crossing(set, nset);
             let out_rows = est.rows_for_set(graph, set | nset);
-            let classes: Vec<ClassId> = graph
-                .crossing_edges(set, nset)
-                .filter_map(|e| self.ctx.classes().class_of(e.left))
-                .collect();
-            let rel = graph.relation(next);
-            let relation = model.catalog().relation(rel).expect("valid");
-            let idx_usable = graph.crossing_edges(set, nset).any(|e| {
-                let inner = if e.left.node == next { e.left } else { e.right };
-                inner.node == next && relation.has_index_on(inner.col)
-            });
-            let inner_index = idx_usable.then(|| {
-                let s = model.catalog().stats(rel).expect("valid").relation;
-                InnerIndex {
-                    tuples: s.tuples,
-                    pages: s.pages,
-                }
-            });
-            let outer = JoinInput {
-                rows,
-                cost,
-                width,
-                ordering,
-            };
-            let inner = JoinInput {
-                rows: n_rows,
-                cost: n_cost,
-                width: n_width,
-                ordering: n_ordering,
-            };
             let mut best: Option<(f64, Option<ClassId>)> = None;
-            for cand in model.join_candidates(
+            for cand in join_candidates(
                 &outer,
                 &inner,
-                crossing,
+                crossing.selectivity,
                 out_rows,
-                classes.first().copied(),
-                inner_index,
+                crossing.first_class,
+                crossing.index_into_b,
+                model.params(),
             ) {
                 self.ctx.plans_costed += 1;
                 if best.is_none_or(|(c, _)| cand.cost < c) {
                     best = Some((cand.cost, cand.ordering));
                 }
             }
-            let (c, o) = best.expect("at least one join method applies");
+            let (cost, ordering) = best.expect("at least one join method applies");
             set = set | nset;
-            cost = c;
-            rows = out_rows;
-            width += n_width;
-            ordering = o;
+            outer = JoinInput {
+                rows: out_rows,
+                cost,
+                width: outer.width + inner.width,
+                ordering,
+            };
         }
 
         // Account for the ORDER BY enforcement, like finalize().
-        if let Some(target) = self.ctx.order_target() {
-            if ordering != Some(target) {
-                cost += self.ctx.model().sort_cost(rows, width);
+        match self.ctx.order_target() {
+            Some(target) if outer.ordering != Some(target) => {
+                Some(outer.cost + model.sort_cost(outer.rows, outer.width))
             }
+            _ => Some(outer.cost),
         }
-        Some(cost)
     }
 }
 

@@ -6,19 +6,11 @@
 //! `recost` reproduces the optimizer's own cost — which doubles as a
 //! strong internal-consistency test of the whole costing stack.
 
-use sdp_cost::{CostModel, InnerIndex, JoinInput, ScanKind};
-use sdp_query::{ClassId, EquivClasses, JoinGraph, RelSet};
+use sdp_cost::{join_candidates, CostModel, JoinInput, JoinMethod, ScanKind};
+use sdp_query::{EquivClasses, JoinGraph, RelSet};
 
+use crate::crossing::EdgeTable;
 use crate::plan::{PlanNode, PlanOp};
-
-/// Recomputed properties of a subtree.
-#[derive(Debug, Clone, Copy)]
-struct Recosted {
-    rows: f64,
-    cost: f64,
-    width: f64,
-    ordering: Option<ClassId>,
-}
 
 /// Total cost of `plan` under `model` (with `graph` supplying
 /// cardinalities and `classes` the order-class structure).
@@ -32,15 +24,12 @@ pub fn recost(
     graph: &JoinGraph,
     classes: &EquivClasses,
 ) -> f64 {
-    walk(plan, model, graph, classes).cost
+    let edges = EdgeTable::new(model, graph, classes);
+    walk(plan, model, graph, &edges).cost
 }
 
-fn walk(
-    node: &PlanNode,
-    model: &CostModel<'_>,
-    graph: &JoinGraph,
-    classes: &EquivClasses,
-) -> Recosted {
+/// Recomputed rows, cost, width and ordering of a subtree.
+fn walk(node: &PlanNode, model: &CostModel<'_>, graph: &JoinGraph, edges: &EdgeTable) -> JoinInput {
     let est = model.estimator();
     match &node.op {
         PlanOp::SeqScan { node: n, .. } | PlanOp::IndexScan { node: n, .. } => {
@@ -60,7 +49,7 @@ fn walk(
                 })
                 .or_else(|| paths.first())
                 .expect("scan paths are never empty");
-            Recosted {
+            JoinInput {
                 rows,
                 cost: path.cost,
                 width,
@@ -68,8 +57,8 @@ fn walk(
             }
         }
         PlanOp::Sort { class } => {
-            let child = walk(&node.children[0], model, graph, classes);
-            Recosted {
+            let child = walk(&node.children[0], model, graph, edges);
+            JoinInput {
                 rows: child.rows,
                 cost: child.cost + model.sort_cost(child.rows, child.width),
                 width: child.width,
@@ -77,52 +66,23 @@ fn walk(
             }
         }
         PlanOp::Join { method } => {
-            let outer = walk(&node.children[0], model, graph, classes);
-            let inner = walk(&node.children[1], model, graph, classes);
+            let outer = walk(&node.children[0], model, graph, edges);
+            let inner = walk(&node.children[1], model, graph, edges);
             let (oset, iset) = (node.children[0].set, node.children[1].set);
-            let crossing = est.crossing_selectivity(graph, oset, iset);
+            let crossing = edges.crossing(oset, iset);
             let out_rows = est.rows_for_set(graph, oset | iset);
-
-            // Inner-index availability, mirroring the enumerator.
-            let inner_index: Option<InnerIndex> = iset.min_index().and_then(|n| {
-                if iset.len() != 1 {
-                    return None;
-                }
-                let rel = graph.relation(n);
-                let relation = model.catalog().relation(rel).expect("valid binding");
-                let usable = graph.crossing_edges(oset, iset).any(|e| {
-                    let i = if e.left.node == n { e.left } else { e.right };
-                    i.node == n && relation.has_index_on(i.col)
-                });
-                usable.then(|| {
-                    let s = model.catalog().stats(rel).expect("valid binding");
-                    InnerIndex {
-                        tuples: s.relation.tuples,
-                        pages: s.relation.pages,
-                    }
-                })
-            });
             // The merge class is the plan node's recorded ordering (if
-            // merge), else any crossing class.
-            let class = node.ordering.or_else(|| {
-                graph
-                    .crossing_edges(oset, iset)
-                    .find_map(|e| classes.class_of(e.left))
-            });
-            let outer_in = JoinInput {
-                rows: outer.rows,
-                cost: outer.cost,
-                width: outer.width,
-                ordering: outer.ordering,
-            };
-            let inner_in = JoinInput {
-                rows: inner.rows,
-                cost: inner.cost,
-                width: inner.width,
-                ordering: inner.ordering,
-            };
-            let cands =
-                model.join_candidates(&outer_in, &inner_in, crossing, out_rows, class, inner_index);
+            // merge), else the first crossing class.
+            let class = node.ordering.or(crossing.first_class);
+            let cands = join_candidates(
+                &outer,
+                &inner,
+                crossing.selectivity,
+                out_rows,
+                class,
+                crossing.index_into_b,
+                model.params(),
+            );
             let cost = cands
                 .iter()
                 .find(|c| c.method == *method)
@@ -134,11 +94,11 @@ fn walk(
                 .unwrap_or_else(|| {
                     cands
                         .iter()
-                        .find(|c| c.method == sdp_cost::JoinMethod::NestedLoop)
+                        .find(|c| c.method == JoinMethod::NestedLoop)
                         .expect("nested loop always applies")
                         .cost
                 });
-            Recosted {
+            JoinInput {
                 rows: out_rows,
                 cost,
                 width: outer.width + inner.width,

@@ -152,9 +152,16 @@ impl<'a> Estimator<'a> {
     /// the product of base cardinalities (`Π sel` over internal edges
     /// and local predicates; 1.0 for unfiltered singletons).
     pub fn selectivity_for_set(&self, graph: &JoinGraph, set: RelSet) -> f64 {
-        (self.ln_internal_selectivity(graph, set) + self.ln_filter_selectivity(graph, set))
-            .exp()
-            .clamp(f64::MIN_POSITIVE, 1.0)
+        Self::selectivity_from_ln(
+            self.ln_internal_selectivity(graph, set) + self.ln_filter_selectivity(graph, set),
+        )
+    }
+
+    /// Exponentiate and clamp a natural-log selectivity to `(0, 1]` —
+    /// the final step of the selectivity estimates, exposed for callers
+    /// that sum tabulated per-edge ln terms themselves.
+    pub fn selectivity_from_ln(ln: f64) -> f64 {
+        ln.exp().clamp(f64::MIN_POSITIVE, 1.0)
     }
 
     /// Joint selectivity of the edges crossing between disjoint sets
@@ -165,7 +172,7 @@ impl<'a> Estimator<'a> {
             .crossing_edges(a, b)
             .map(|e| self.edge_selectivity(graph, e).ln())
             .sum();
-        ln.exp().clamp(f64::MIN_POSITIVE, 1.0)
+        Self::selectivity_from_ln(ln)
     }
 
     /// Estimated average tuple width (bytes) of the composite —

@@ -104,15 +104,128 @@ pub struct JoinCandidate {
     pub ordering: Option<ClassId>,
 }
 
+/// Join costing for one `outer ⋈ inner` orientation of two memo
+/// groups. Every term that does not depend on the chosen input plans
+/// is computed once: materialisation, compare, emit, hash build, probe
+/// and spill, both sort costs, merge CPU and the index probe. Per pair
+/// of input plans only their costs are added to those terms, in one
+/// fixed left-to-right order, so a candidate costs the same to the
+/// last bit however the kernel is driven. [`join_candidates`] is its
+/// one-shot wrapper.
+#[derive(Debug, Clone, Copy)]
+pub struct JoinKernel {
+    emit_cpu: f64,
+    materialize: f64,
+    compare: f64,
+    index_probe: Option<f64>,
+    hash_build: f64,
+    hash_probe: f64,
+    spill: f64,
+    outer_sort: f64,
+    inner_sort: f64,
+    merge_cpu: f64,
+}
+
+impl JoinKernel {
+    /// Precompute the plan-independent terms. Only `rows` and `width`
+    /// of `outer` and `inner` are read.
+    ///
+    /// * `crossing_sel` — joint selectivity of the connecting edges;
+    /// * `out_rows` — estimated output cardinality;
+    /// * `inner_index` — present when the inner is a base relation with
+    ///   an index on the join column, enabling index nested-loop.
+    pub fn new(
+        outer: &JoinInput,
+        inner: &JoinInput,
+        crossing_sel: f64,
+        out_rows: f64,
+        inner_index: Option<InnerIndex>,
+        params: &CostParams,
+    ) -> Self {
+        let index_probe = inner_index.map(|idx| {
+            let matched = (inner.rows * crossing_sel).max(1e-6);
+            outer.rows * index_probe_cost(idx.tuples, idx.pages, matched, params)
+        });
+        // Hybrid hash: write and re-read both sides once per extra
+        // batch round when the build side exceeds work_mem.
+        let spill = if inner.rows * inner.width.max(1.0) > params.work_mem_bytes {
+            2.0 * (inner.pages() + outer.pages()) * params.seq_page_cost
+        } else {
+            0.0
+        };
+        JoinKernel {
+            emit_cpu: out_rows * params.cpu_tuple_cost,
+            materialize: inner.rows * params.cpu_tuple_cost,
+            compare: outer.rows * inner.rows * params.cpu_operator_cost,
+            index_probe,
+            hash_build: inner.rows * params.cpu_operator_cost * 2.0,
+            hash_probe: outer.rows * params.cpu_operator_cost,
+            spill,
+            outer_sort: sort_cost(outer.rows, outer.width, params),
+            inner_sort: sort_cost(inner.rows, inner.width, params),
+            merge_cpu: (outer.rows + inner.rows) * params.cpu_operator_cost,
+        }
+    }
+
+    /// Cost every applicable method for one pair of input plans,
+    /// handing each candidate to `offer` in offer order: nested loop
+    /// over a materialized inner, index nested loop (when `with_index`
+    /// and the kernel has an inner index), hash with the inner as build
+    /// side, then one merge join per class of `merge_classes`, sorting
+    /// whichever input is not already ordered on it. Only `cost` and
+    /// `ordering` of `outer` and `inner` are read.
+    pub fn offer(
+        &self,
+        outer: &JoinInput,
+        inner: &JoinInput,
+        with_index: bool,
+        merge_classes: &[ClassId],
+        mut offer: impl FnMut(JoinCandidate),
+    ) {
+        let inputs = outer.cost + inner.cost;
+        offer(JoinCandidate {
+            method: JoinMethod::NestedLoop,
+            cost: inputs + self.materialize + self.compare + self.emit_cpu,
+            ordering: outer.ordering,
+        });
+        if let (true, Some(probe)) = (with_index, self.index_probe) {
+            offer(JoinCandidate {
+                method: JoinMethod::IndexNestedLoop,
+                cost: outer.cost + probe + self.emit_cpu,
+                ordering: outer.ordering,
+            });
+        }
+        offer(JoinCandidate {
+            method: JoinMethod::Hash,
+            cost: inputs + self.hash_build + self.hash_probe + self.spill + self.emit_cpu,
+            ordering: None,
+        });
+        for &class in merge_classes {
+            let sort = |input: &JoinInput, cost| {
+                if input.ordering == Some(class) {
+                    0.0
+                } else {
+                    cost
+                }
+            };
+            offer(JoinCandidate {
+                method: JoinMethod::Merge,
+                cost: inputs
+                    + sort(outer, self.outer_sort)
+                    + sort(inner, self.inner_sort)
+                    + self.merge_cpu
+                    + self.emit_cpu,
+                ordering: Some(class),
+            });
+        }
+    }
+}
+
 /// Enumerate and cost every join method applicable to
-/// `outer ⋈ inner`.
-///
-/// * `crossing_sel` — joint selectivity of the connecting edges;
-/// * `out_rows` — estimated output cardinality;
-/// * `join_class` — the order class of the join columns (drives merge
-///   join); `None` disables merge;
-/// * `inner_index` — present when the inner is a base relation with an
-///   index on the join column, enabling index nested-loop.
+/// `outer ⋈ inner`, in offer order: a one-shot [`JoinKernel`].
+/// `join_class` is the order class of the join columns (drives merge
+/// join; `None` disables merge); the other arguments are
+/// [`JoinKernel::new`]'s.
 pub fn join_candidates(
     outer: &JoinInput,
     inner: &JoinInput,
@@ -122,74 +235,9 @@ pub fn join_candidates(
     inner_index: Option<InnerIndex>,
     params: &CostParams,
 ) -> Vec<JoinCandidate> {
+    let kernel = JoinKernel::new(outer, inner, crossing_sel, out_rows, inner_index, params);
     let mut out = Vec::with_capacity(4);
-    let emit_cpu = out_rows * params.cpu_tuple_cost;
-
-    // --- Nested loop over a materialized inner ------------------------
-    out.push(JoinCandidate {
-        method: JoinMethod::NestedLoop,
-        cost: outer.cost
-            + inner.cost
-            + inner.rows * params.cpu_tuple_cost // materialization
-            + outer.rows * inner.rows * params.cpu_operator_cost
-            + emit_cpu,
-        ordering: outer.ordering,
-    });
-
-    // --- Index nested loop --------------------------------------------
-    if let Some(idx) = inner_index {
-        let matched = (inner.rows * crossing_sel).max(1e-6);
-        let probe = index_probe_cost(idx.tuples, idx.pages, matched, params);
-        out.push(JoinCandidate {
-            method: JoinMethod::IndexNestedLoop,
-            cost: outer.cost + outer.rows * probe + emit_cpu,
-            ordering: outer.ordering,
-        });
-    }
-
-    // --- Hash join (build = inner) -------------------------------------
-    {
-        let build_bytes = inner.rows * inner.width.max(1.0);
-        let spill = if build_bytes > params.work_mem_bytes {
-            // Hybrid hash: write and re-read both sides once per extra
-            // batch round.
-            2.0 * (inner.pages() + outer.pages()) * params.seq_page_cost
-        } else {
-            0.0
-        };
-        out.push(JoinCandidate {
-            method: JoinMethod::Hash,
-            cost: outer.cost
-                + inner.cost
-                + inner.rows * params.cpu_operator_cost * 2.0 // build
-                + outer.rows * params.cpu_operator_cost // probe
-                + spill
-                + emit_cpu,
-            ordering: None,
-        });
-    }
-
-    // --- Merge join -----------------------------------------------------
-    if let Some(class) = join_class {
-        let sort_side = |input: &JoinInput| {
-            if input.ordering == Some(class) {
-                0.0
-            } else {
-                sort_cost(input.rows, input.width, params)
-            }
-        };
-        out.push(JoinCandidate {
-            method: JoinMethod::Merge,
-            cost: outer.cost
-                + inner.cost
-                + sort_side(outer)
-                + sort_side(inner)
-                + (outer.rows + inner.rows) * params.cpu_operator_cost
-                + emit_cpu,
-            ordering: Some(class),
-        });
-    }
-
+    kernel.offer(outer, inner, true, join_class.as_slice(), |c| out.push(c));
     out
 }
 

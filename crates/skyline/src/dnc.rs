@@ -7,7 +7,7 @@
 //! exists to cross-validate the BNL/SFS kernels and to serve larger
 //! inputs in the benches.
 
-use crate::dominates;
+use crate::{dominates, total_order};
 
 /// Compute the skyline via divide and conquer, returning ascending
 /// indices into `points`.
@@ -41,11 +41,7 @@ fn dnc(points: &[Vec<f64>], idx: &mut [usize]) -> Vec<usize> {
 
     // Split on the median of dimension 0.
     let mid = idx.len() / 2;
-    idx.select_nth_unstable_by(mid, |&a, &b| {
-        points[a][0]
-            .partial_cmp(&points[b][0])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    idx.select_nth_unstable_by(mid, |&a, &b| total_order(points[a][0], points[b][0]));
     let (lo, hi) = idx.split_at_mut(mid);
     let left = dnc(points, lo);
     let right = dnc(points, hi);
@@ -88,6 +84,25 @@ mod tests {
             vec![0.5, 5.0, 0.4],
         ];
         assert_eq!(skyline_dnc(&pts), skyline_naive(&pts));
+    }
+
+    #[test]
+    fn nan_coordinate_does_not_break_the_median_split() {
+        // More than the base case's 8 points, so the median split runs
+        // over a NaN first coordinate, which sorts last. The NaN point
+        // is dominated on its finite coordinates.
+        let mut pts: Vec<Vec<f64>> = (0..11)
+            .map(|i| {
+                let x = f64::from(i);
+                vec![x, 10.0 - x, (x * 7.0) % 5.0]
+            })
+            .collect();
+        let inf = std::hint::black_box(f64::INFINITY);
+        pts.insert(4, vec![inf - inf, 50.0, 50.0]);
+        let sky = skyline_dnc(&pts);
+        assert!(!sky.contains(&4));
+        assert_eq!(sky, skyline_naive(&pts));
+        assert_eq!(sky, skyline_sfs(&pts));
     }
 
     #[test]

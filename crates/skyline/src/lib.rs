@@ -45,6 +45,16 @@ pub use multiway::{pairwise_union_skyline, pairwise_union_skyline_threaded, proj
 pub use orders::{exclusion_partition, rescue_order_partition};
 pub use sfs::skyline_sfs;
 
+/// The one total order for costs and feature values: numbers by
+/// [`f64::total_cmp`], then every NaN, whatever its sign. `total_cmp`
+/// alone would put a negative NaN (what `inf - inf` yields on x86-64)
+/// before every number. On finite values it agrees with `partial_cmp`
+/// except that `-0.0` orders before `0.0`.
+#[inline]
+pub fn total_order(a: f64, b: f64) -> std::cmp::Ordering {
+    a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
+}
+
 /// Dominance under minimization: `a` dominates `b` iff `a[i] ≤ b[i]`
 /// for every dimension and `a[j] < b[j]` for at least one.
 ///

@@ -7,7 +7,7 @@
 //! skyline, never evicting — a simpler inner loop and better locality
 //! for larger partitions.
 
-use crate::dominates;
+use crate::{dominates, total_order};
 
 /// Compute the skyline of `points` via sort-filter-skyline, returning
 /// indices into `points` in ascending order.
@@ -17,13 +17,11 @@ pub fn skyline_sfs(points: &[Vec<f64>]) -> Vec<usize> {
     // dominate a (dominance would force sum(b) ≤ sum(a), with strict
     // inequality somewhere). Ties are broken by index for determinism;
     // tied-sum points cannot dominate each other unless equal, and
-    // equal points never dominate.
+    // equal points never dominate. NaN sums sort last.
     order.sort_by(|&a, &b| {
         let sa: f64 = points[a].iter().sum();
         let sb: f64 = points[b].iter().sum();
-        sa.partial_cmp(&sb)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
+        total_order(sa, sb).then(a.cmp(&b))
     });
 
     let mut skyline: Vec<usize> = Vec::new();
@@ -76,12 +74,25 @@ mod tests {
 
     #[test]
     fn non_finite_safe_ordering_does_not_panic() {
-        // Defensive: NaN sums fall back to Equal ordering; output is
-        // still a valid (if arbitrary) subset containing the finite
-        // skyline.
-        let pts = vec![vec![f64::NAN, 1.0], vec![1.0, 1.0]];
-        let s = skyline_sfs(&pts);
-        assert!(s.contains(&1));
+        // A NaN sum, of either sign, sorts after every finite one, so
+        // the finite points are filtered exactly as without it. NaN
+        // coordinates compare false both ways: this point is dominated
+        // by nothing and, coming last, evicts nothing.
+        let inf = std::hint::black_box(f64::INFINITY);
+        for nan in [f64::NAN, inf - inf] {
+            let pts = vec![
+                vec![1.0, 3.0],
+                vec![nan, 0.5],
+                vec![3.0, 1.0],
+                vec![4.0, 4.0],
+            ];
+            assert_eq!(skyline_sfs(&pts), vec![0, 1, 2]);
+        }
+        // A NaN point dominated on its finite coordinates is dropped,
+        // as the oracle drops it.
+        let pts = vec![vec![1.0, 3.0], vec![f64::NAN, 5.0], vec![3.0, 1.0]];
+        assert_eq!(skyline_sfs(&pts), skyline_naive(&pts));
+        assert_eq!(skyline_sfs(&pts), vec![0, 2]);
     }
 }
 

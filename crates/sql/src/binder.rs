@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use sdp_catalog::{Catalog, ColId, RelId};
-use sdp_query::{ColRef, JoinEdge, JoinGraph, PredOp, Predicate, Query};
+use sdp_query::{ColRef, JoinEdge, JoinGraph, PredOp, Predicate, Query, RelSet};
 
 use crate::ast::{Comparison, Condition, QualifiedColumn, SelectStatement};
 use crate::SqlError;
@@ -18,6 +18,13 @@ fn bind_err<T>(message: impl Into<String>) -> Result<T, SqlError> {
 pub fn bind(catalog: &Catalog, stmt: &SelectStatement) -> Result<Query, SqlError> {
     if stmt.from.is_empty() {
         return bind_err("empty FROM list");
+    }
+    if stmt.from.len() > RelSet::MAX_RELATIONS {
+        return bind_err(format!(
+            "{} relations in FROM list; at most {} are supported",
+            stmt.from.len(),
+            RelSet::MAX_RELATIONS
+        ));
     }
 
     // Resolve tables (by case-insensitive name) and aliases.

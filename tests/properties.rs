@@ -90,8 +90,120 @@ fn random_connected_query(
     Query::new(JoinGraph::new(bindings, edges))
 }
 
+/// A random connected join graph over `n ≤ 20` paper-catalog
+/// relations: a spanning tree (node `i + 1` attaches to
+/// `parents[i] % (i + 1)`) plus deduplicated extra edges. Edge columns
+/// come from a few per relation, the indexed one included, so order
+/// classes merge across edges and index nested-loops apply.
+fn random_shared_column_query(
+    catalog: &Catalog,
+    n: usize,
+    rel_seed: u64,
+    parents: &[u64],
+    extras: &[(u64, u64, u64)],
+) -> Query {
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    let mut rels: Vec<u32> = (0..25).collect();
+    rels.shuffle(&mut rand::rngs::StdRng::seed_from_u64(rel_seed));
+    let bindings: Vec<RelId> = rels[..n].iter().map(|&r| RelId(r)).collect();
+    let column = |node: usize, pick: u64| {
+        let rel = catalog.relation(bindings[node]).unwrap();
+        let col = match pick % 4 {
+            0 => rel.indexed_column,
+            k => ColId(k as u16),
+        };
+        ColRef::new(node, col)
+    };
+    let mut seen = std::collections::HashSet::new();
+    let mut edges = Vec::new();
+    let tree = parents
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| ((p as usize) % (i + 1), i + 1, p >> 8));
+    let extra = extras
+        .iter()
+        .map(|&(a, b, pick)| ((a as usize) % n, (b as usize) % n, pick));
+    for (u, v, pick) in tree.chain(extra) {
+        if u != v && seen.insert((u.min(v), u.max(v))) {
+            edges.push(JoinEdge::new(column(u, pick), column(v, pick >> 2)));
+        }
+    }
+    Query::new(JoinGraph::new(bindings, edges))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The one-pass crossing summary the costing core reads agrees
+    /// with the per-question edge scans it replaced: the estimator's
+    /// crossing selectivity to the last bit, the sorted and
+    /// deduplicated crossing classes, the first class in edge order,
+    /// and index nested-loop usability in both orientations.
+    #[test]
+    fn crossing_summary_matches_the_edge_scans(
+        n in 4usize..=20,
+        rel_seed in any::<u64>(),
+        parents in prop::collection::vec(any::<u64>(), 19usize),
+        extras in prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0usize..=20),
+        splits in prop::collection::vec((any::<u64>(), any::<u64>(), 0u8..3), 16usize),
+    ) {
+        use sdp::core::EdgeTable;
+        use sdp::query::ClassId;
+
+        let catalog = Catalog::paper();
+        let query = random_shared_column_query(&catalog, n, rel_seed, &parents[..n - 1], &extras);
+        let graph = &query.graph;
+        prop_assert!(graph.is_connected(graph.all_nodes()));
+        let model = CostModel::with_defaults(&catalog);
+        let classes = query.equiv_classes();
+        let table = EdgeTable::new(&model, graph, &classes);
+        // The index nested-loop predicate as the costing loop, recost
+        // and the randomized searches each used to spell it out.
+        let usable = |outer: RelSet, inner: RelSet| {
+            let Some(node) = inner.min_index().filter(|_| inner.len() == 1) else {
+                return false;
+            };
+            let relation = catalog.relation(graph.relation(node)).unwrap();
+            graph.crossing_edges(outer, inner).any(|e| {
+                let inner_ref = if e.left.node == node { e.left } else { e.right };
+                inner_ref.node == node && relation.has_index_on(inner_ref.col)
+            })
+        };
+        let all = graph.all_nodes();
+        for (x, y, kind) in splits {
+            let (mut a, mut b) = (RelSet(x) & all, RelSet(y) & all);
+            match kind {
+                1 => b = RelSet::single((y % n as u64) as usize),
+                2 => a = RelSet::single((x % n as u64) as usize),
+                _ => {}
+            }
+            if kind == 2 { b = b - a } else { a = a - b }
+            if a.is_empty() || b.is_empty() {
+                continue;
+            }
+            let crossing = table.crossing(a, b);
+            prop_assert_eq!(
+                crossing.selectivity.to_bits(),
+                model.estimator().crossing_selectivity(graph, a, b).to_bits()
+            );
+            let mut wanted: Vec<ClassId> = graph
+                .crossing_edges(a, b)
+                .filter_map(|e| classes.class_of(e.left))
+                .collect();
+            prop_assert_eq!(crossing.first_class, wanted.first().copied());
+            wanted.sort_unstable();
+            wanted.dedup();
+            prop_assert_eq!(crossing.classes(), &wanted[..]);
+            prop_assert_eq!(crossing.index_into_b.is_some(), usable(a, b));
+            prop_assert_eq!(crossing.index_into_a.is_some(), usable(b, a));
+            if let Some(index) = crossing.index_into_b {
+                let stats = catalog.stats(graph.relation(b.min_index().unwrap())).unwrap();
+                prop_assert_eq!(index.tuples, stats.relation.tuples);
+                prop_assert_eq!(index.pages, stats.relation.pages);
+            }
+        }
+    }
 
     /// Any (topology, seed, algorithm, orderedness) combination yields
     /// a structurally valid complete plan with sane statistics.

@@ -45,6 +45,31 @@ fn sql_queries_execute_on_scaled_data() {
     }
 }
 
+/// `SELECT * FROM R0 t0, R0 t1, … WHERE t0.c0 = t1.c0 AND …`: a
+/// self-join chain over `n` aliases of one relation.
+fn self_join_chain(n: usize) -> String {
+    let from: Vec<String> = (0..n).map(|i| format!("R0 t{i}")).collect();
+    let on: Vec<String> = (1..n).map(|i| format!("t{}.c0 = t{i}.c0", i - 1)).collect();
+    format!(
+        "SELECT * FROM {} WHERE {}",
+        from.join(", "),
+        on.join(" AND ")
+    )
+}
+
+#[test]
+fn from_list_beyond_64_relations_is_a_bind_error() {
+    let catalog = Catalog::paper();
+    let query = parse_query(&catalog, &self_join_chain(64)).unwrap();
+    assert_eq!(query.graph.len(), 64);
+    match parse_query(&catalog, &self_join_chain(65)) {
+        Err(sdp::sql::SqlError::Bind { message }) => {
+            assert!(message.contains("65 relations"), "{message}")
+        }
+        other => panic!("expected a bind error, got {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
